@@ -544,49 +544,24 @@ func BenchmarkEngineSweepPooled(b *testing.B) {
 	}
 }
 
-// bigFloodGraph lazily builds the million-node scale workload shared
-// by the sharded-engine benchmark pair: 1,000,000 vertices, 10,000,000
-// edges, locality window 2048, weights in [1024, 4096] so conservative
-// lookahead windows span many events. Built once — the build itself
-// takes seconds at this scale.
+// bigFloodGraph lazily builds the million-node scale workload:
+// 1,000,000 vertices, 10,000,000 edges, locality window 2048, weights
+// in [1024, 4096]. Built once — the build itself takes seconds at this
+// scale.
 var bigFloodGraph = sync.OnceValue(func() *costsense.Graph {
 	return costsense.BigFlood(1_000_000, 10_000_000, 2048, costsense.UniformWeightsIn(1024, 4096, 31), 31)
 })
 
-// BenchmarkEngineShardedSerial is the serial engine on the
-// million-node flood — the honest denominator for the sharded
-// speedup. Run with -benchtime 1x: one op is ~20M events.
-func BenchmarkEngineShardedSerial(b *testing.B) {
+// BenchmarkEngineBigFlood is the engine on the million-node flood,
+// where the event queue no longer fits in cache. Run with -benchtime
+// 1x: one op is ~20M events.
+func BenchmarkEngineBigFlood(b *testing.B) {
 	g := bigFloodGraph()
 	var events int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := costsense.RunFlood(g, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Stats.Events
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-}
-
-// BenchmarkEngineSharded is the same million-node flood on the
-// deterministic sharded engine (WithShards(4)). Byte-identical output
-// is covered by the internal/sim and internal/obs golden suites; this
-// benchmark tracks the throughput ratio against the serial twin above
-// (scripts/bench.sh records both in BENCH_sim.json). The speedup
-// scales with usable cores — on a single-core runner the coordination
-// overhead makes it a slowdown, which the recorded numbers state
-// rather than hide.
-func BenchmarkEngineSharded(b *testing.B) {
-	g := bigFloodGraph()
-	var events int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := costsense.RunFlood(g, 0, costsense.WithShards(4))
 		if err != nil {
 			b.Fatal(err)
 		}

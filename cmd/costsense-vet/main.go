@@ -1,8 +1,8 @@
 // Command costsense-vet runs the project's custom static-analysis
 // suite (internal/analysis) over the module — the compile-time half of
 // the simulator's determinism, allocation-free and concurrency
-// contracts. Nine analyzers: detmap, detsource, hotpathalloc,
-// hotpathtrans, arenaref, shardsync, lockguard, ctxflow and errflow;
+// contracts. Eight analyzers: detmap, detsource, hotpathalloc,
+// hotpathtrans, arenaref, lockguard, ctxflow and errflow;
 // the last four ride on module-local interprocedural effect summaries
 // (may a callee block, allocate, take a lock, spawn?). It is
 // self-contained on the standard library, so it runs offline with the
@@ -18,7 +18,7 @@
 //
 // -audit switches to inventory mode: instead of diagnostics it prints
 // a byte-deterministic JSON report of every //costsense: suppression
-// and marker directive in the analyzed packages — file, line, verb,
+// directive in the analyzed packages — file, line, verb,
 // justification — flagging stale suppressions (no analyzer consults
 // them any more), missing justifications and unknown verbs, any of
 // which exit 1. The nightly CI job archives the report; diffing two

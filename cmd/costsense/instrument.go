@@ -28,7 +28,6 @@ type instruments struct {
 	critpathPath string // -critpath: critical-path analysis JSON output file
 	progress     bool   // -progress: per-sweep progress lines on stderr
 	httpAddr     string // -http: expvar + pprof debug server address
-	shards       int    // -shards: run simulations on the sharded engine
 	multi        bool   // running several experiments: tag output files by id
 
 	expID   string
@@ -63,15 +62,8 @@ func (in *instruments) begin(expID string) {
 // closures — first-wins under parallel scheduling would record
 // whichever trial a worker reached first.
 func instrOpts(g *costsense.Graph) []costsense.Option {
-	var opts []costsense.Option
-	if instr.shards > 1 {
-		// The sharded engine is byte-identical to the serial one, so
-		// every table and artifact is unchanged; only wall-clock (on a
-		// multi-core host) moves.
-		opts = append(opts, costsense.WithShards(instr.shards))
-	}
 	if !instr.armed {
-		return opts
+		return nil
 	}
 	instr.armed = false
 	obs := make([]costsense.Observer, 0, 3)
@@ -87,7 +79,7 @@ func instrOpts(g *costsense.Graph) []costsense.Option {
 		instr.causal = costsense.NewCausalObserver(g)
 		obs = append(obs, instr.causal)
 	}
-	return append(opts, costsense.WithObserver(costsense.NewTeeObserver(obs...)))
+	return []costsense.Option{costsense.WithObserver(costsense.NewTeeObserver(obs...))}
 }
 
 // flush writes the experiment's recorded artifacts to the -trace and

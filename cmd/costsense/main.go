@@ -25,8 +25,6 @@
 //	                  on/off-path cost attribution and slack histogram
 //	-progress         per-sweep progress lines (done/total, ETA) on stderr
 //	-http addr        serve expvar (/debug/vars) and pprof (/debug/pprof)
-//	-shards n         run the instrumented simulations on the sharded
-//	                  engine (byte-identical results; see DESIGN.md)
 //
 // Chaos harness (see DESIGN.md, "Fault injection & reliable delivery"):
 //
@@ -85,7 +83,6 @@ func run(args []string) error {
 	fs.StringVar(&instr.critpathPath, "critpath", "", "write the critical-path analysis JSON of that run to `file`")
 	fs.BoolVar(&instr.progress, "progress", false, "report sweep progress (trials done/total, ETA) on stderr")
 	fs.StringVar(&instr.httpAddr, "http", "", "serve expvar and pprof on `addr` (e.g. localhost:6060)")
-	fs.IntVar(&instr.shards, "shards", 0, "run simulations on the sharded engine with `n` shards (results are byte-identical to serial; 0 or 1 = serial)")
 	var faults string
 	fs.StringVar(&faults, "faults", "", "fault `spec` for the chaos experiment, e.g. drop=0.1,dup=0.02,crash=1,down=2,seed=7")
 	fs.SetOutput(os.Stderr)
@@ -170,7 +167,7 @@ func runOne(e experiment) error {
 }
 
 func usage() error {
-	return fmt.Errorf("usage: costsense [-trace f] [-metrics f] [-critpath f] [-progress] [-http addr] [-shards n] [-faults spec] {list | exp <id> | exp all | verify | serve [-addr a] [-queue n] [-cache-mb n] [-drain d] [-journal f] [-job-timeout d] | jobrun [-server url] [-spec f]}")
+	return fmt.Errorf("usage: costsense [-trace f] [-metrics f] [-critpath f] [-progress] [-http addr] [-faults spec] {list | exp <id> | exp all | verify | serve [-addr a] [-queue n] [-cache-mb n] [-drain d] [-journal f] [-job-timeout d] | jobrun [-server url] [-spec f]}")
 }
 
 // ratio formats a measured/bound quotient.

@@ -198,12 +198,6 @@ var (
 	// the link model behind the congestion factors in the paper's time
 	// bounds.
 	WithCongestion = sim.WithCongestion
-	// WithShards runs the deterministic sharded engine on k worker
-	// goroutines; results are byte-identical to the serial engine.
-	WithShards = sim.WithShards
-	// WithShardAssignment pins an explicit vertex -> shard map instead
-	// of the built-in cluster partitioner.
-	WithShardAssignment = sim.WithShardAssignment
 	// NewPool builds a network pool for sweeps: WithPool(p) recycles a
 	// finished Network's allocations into the next run on the same
 	// graph, with byte-identical results (the Reset golden contract).

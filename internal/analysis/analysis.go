@@ -2,7 +2,7 @@
 // dependency-free analogue of golang.org/x/tools/go/analysis (which is
 // deliberately not vendored — the suite must build offline with the
 // bare toolchain), a module-wide interprocedural effect-summary layer
-// (summary.go), and the nine project-specific analyzers behind
+// (summary.go), and the eight project-specific analyzers behind
 // cmd/costsense-vet:
 //
 //   - detmap: no map-iteration order may reach deterministic output
@@ -12,7 +12,6 @@
 //   - hotpathtrans: ...including through every module-local callee,
 //     judged by the callee's effect summary
 //   - arenaref: protocol handlers must not retain arena messages
-//   - shardsync: cross-shard state only under a declared barrier
 //   - lockguard: no blocking op or nested acquisition while a mutex is
 //     held; every lock released on all paths
 //   - ctxflow (serve/harness/cmd only): detached contexts only at
@@ -35,17 +34,15 @@
 //   - `//costsense:nondet-ok <why>` — detmap, detsource
 //   - `//costsense:alloc-ok <why>` — hotpathalloc, hotpathtrans
 //   - `//costsense:retain-ok <why>` — arenaref
-//   - `//costsense:shard-ok <why>` — shardsync
 //   - `//costsense:lock-ok <why>` — lockguard
 //   - `//costsense:ctx-ok <why>` — ctxflow
 //   - `//costsense:err-ok <why>` — errflow
 //
 // A suppression must carry a justification; bare directives are
-// themselves reported. Markers change what is checked instead of
-// silencing a check: `//costsense:hotpath` opts a function into the
-// allocation analyzers, `//costsense:shardbarrier <why>` declares a
-// cross-shard quiescence proof. The -audit mode (audit.go) inventories
-// every directive and fails on stale or unjustified ones.
+// themselves reported. The one marker, `//costsense:hotpath`, changes
+// what is checked instead of silencing a check: it opts a function into
+// the allocation analyzers. The -audit mode (audit.go) inventories
+// every suppression and fails on stale, unjustified or unknown ones.
 package analysis
 
 import (

@@ -9,26 +9,18 @@ import (
 
 // The directive taxonomy. Suppressions silence one analyzer's finding
 // at one line and must carry a justification; they go stale when no
-// analyzer consults them any more. Markers change what is checked
-// rather than silencing a check: hotpath opts a function into the
+// analyzer consults them any more. The hotpath marker changes what is
+// checked rather than silencing a check: it opts a function into the
 // allocation analyzers (it is a contract, not an excuse, and carries
-// no reason), shardbarrier declares a quiescence proof and must say
-// why the workers are parked.
-var (
-	suppressionVerbs = map[string]string{
-		"nondet-ok": "detmap, detsource",
-		"alloc-ok":  "hotpathalloc, hotpathtrans",
-		"retain-ok": "arenaref",
-		"shard-ok":  "shardsync",
-		"lock-ok":   "lockguard",
-		"ctx-ok":    "ctxflow",
-		"err-ok":    "errflow",
-	}
-	markerVerbs = map[string]bool{
-		"hotpath":      true,
-		"shardbarrier": true,
-	}
-)
+// no reason), so the audit leaves it out.
+var suppressionVerbs = map[string]string{
+	"nondet-ok": "detmap, detsource",
+	"alloc-ok":  "hotpathalloc, hotpathtrans",
+	"retain-ok": "arenaref",
+	"lock-ok":   "lockguard",
+	"ctx-ok":    "ctxflow",
+	"err-ok":    "errflow",
+}
 
 // DirectiveRecord is one //costsense: annotation in the audited tree,
 // as emitted by `costsense-vet -audit`.
@@ -36,8 +28,8 @@ type DirectiveRecord struct {
 	File string `json:"file"` // module-relative, slash-separated
 	Line int    `json:"line"`
 	Verb string `json:"verb"`
-	// Kind is "suppression" or "marker"; unknown verbs get "unknown"
-	// and always count as problems.
+	// Kind is "suppression"; unknown verbs get "unknown" and always
+	// count as problems.
 	Kind   string `json:"kind"`
 	Reason string `json:"reason,omitempty"`
 	// Suppresses names the analyzers the verb silences (suppressions
@@ -47,8 +39,7 @@ type DirectiveRecord struct {
 	// run: the finding it once silenced is gone and the directive
 	// should be deleted with it.
 	Stale bool `json:"stale,omitempty"`
-	// Unjustified is set on a suppression or shardbarrier with no
-	// reason text.
+	// Unjustified is set on a suppression with no reason text.
 	Unjustified bool `json:"unjustified,omitempty"`
 }
 
@@ -88,9 +79,6 @@ func BuildAudit(l *Loader, pkgs []*Package, tr *Tracker) *AuditReport {
 					rec.Suppresses = suppressionVerbs[rec.Verb]
 					rec.Stale = !tr.Used(absFile(l, rec.File), rec.Line, rec.Verb)
 					rec.Unjustified = rec.Reason == ""
-				} else if markerVerbs[rec.Verb] {
-					rec.Kind = "marker"
-					rec.Unjustified = rec.Reason == "" // shardbarrier must say why workers are parked
 				} else {
 					rec.Kind = "unknown"
 					report.Unknown++

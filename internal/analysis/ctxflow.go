@@ -28,10 +28,8 @@ import (
 //     parameter, or a receiver carrying a context field. Otherwise
 //     shutdown cannot reach it.
 //
-// The analyzer is restricted to the three subtrees via Match — the
-// simulator's sharded engine synchronizes with phase barriers and
-// owns its termination proof (shardsync), and protocol code never
-// spawns.
+// The analyzer is restricted to the three subtrees via Match: the
+// simulator and protocol code never spawn.
 var Ctxflow = &Analyzer{
 	Name:     "ctxflow",
 	Doc:      "enforces context propagation and goroutine termination paths in serve, harness and cmd",

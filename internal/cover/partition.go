@@ -130,66 +130,6 @@ func newPartitionGrowth(g *graph.Graph, growth float64) *Partition {
 	return p
 }
 
-// ClusterGrowth runs the same greedy BFS cluster growing as
-// NewPartitionGrowth(g, f) but materializes only the vertex→cluster
-// assignment: no spanning trees, no preferred edges. The full
-// Partition costs Θ(n·#clusters) just to allocate and zero one
-// tree's worth of arrays per cluster, which is quadratic on the
-// window-local graphs the sharded engine partitions; this walk is
-// O(n+m) total. The assignment is identical to
-// NewPartitionGrowth(g, f).ClusterOf (tested).
-func ClusterGrowth(g *graph.Graph, f int) (clusterOf []int, numClusters int) {
-	if f < 2 {
-		panic("cover: ClusterGrowth needs factor >= 2")
-	}
-	n := g.N()
-	clusterOf = make([]int, n)
-	for i := range clusterOf {
-		clusterOf[i] = -1
-	}
-	inLayer := make([]bool, n)
-	var layer, frontier []graph.NodeID
-	idx := 0
-	for start := 0; start < n; start++ {
-		if clusterOf[start] != -1 {
-			continue
-		}
-		clusterOf[start] = idx
-		size := 1
-		frontier = append(frontier[:0], graph.NodeID(start))
-		for {
-			// Next BFS layer among unassigned vertices, deduplicated
-			// through the reusable inLayer scratch instead of a
-			// per-layer map.
-			layer = layer[:0]
-			for _, v := range frontier {
-				for _, h := range g.Adj(v) {
-					if clusterOf[h.To] == -1 && !inLayer[h.To] {
-						inLayer[h.To] = true
-						layer = append(layer, h.To)
-					}
-				}
-			}
-			for _, v := range layer {
-				inLayer[v] = false
-			}
-			if len(layer) == 0 {
-				break
-			}
-			if float64(size+len(layer)) < float64(f)*float64(size) {
-				break // growth too slow: stop expanding this cluster
-			}
-			for _, v := range layer {
-				clusterOf[v] = idx
-			}
-			size += len(layer)
-			frontier = append(frontier[:0], layer...)
-		}
-		idx++
-	}
-	return clusterOf, idx
-}
-
 // NumClusters returns the number of clusters.
 func (p *Partition) NumClusters() int { return len(p.Trees) }
 

@@ -6,10 +6,8 @@ import (
 	"sort"
 )
 
-// UniformWeightsIn draws weights uniformly from [lo, hi]. The sharded
-// engine's conservative lookahead windows are bounded below by the
-// cheapest cut edge, so scale benchmarks that want wide windows use
-// lo >> 1 — something UniformWeights (always [1, maxW]) cannot express.
+// UniformWeightsIn draws weights uniformly from [lo, hi], a floor
+// that UniformWeights (always [1, maxW]) cannot express.
 func UniformWeightsIn(lo, hi int64, seed int64) WeightFn {
 	if lo < 1 || hi < lo {
 		panic(fmt.Sprintf("graph: UniformWeightsIn needs 1 <= lo <= hi, got [%d, %d]", lo, hi))

@@ -27,8 +27,11 @@ type Progress struct {
 	sumTrial time.Duration
 	finished int
 
-	// OnDone, when set, receives (done, total) after every trial;
-	// cmd/costsense uses it to publish expvar gauges.
+	// OnDone, when set, receives (done, total) after every trial, with
+	// done never below an earlier call's: workers finishing together
+	// report their counts out of order. It runs under the meter's
+	// lock, so it must not block; cmd/costsense uses it to publish
+	// expvar gauges.
 	OnDone func(done, total int)
 }
 
@@ -67,7 +70,9 @@ func (p *Progress) TrialDone(index, done, total int) {
 			p.maxTrial = d
 		}
 	}
-	p.finished = done
+	if done > p.finished {
+		p.finished = done
+	}
 	elapsed := now.Sub(p.begun)
 	final := done == total
 	throttled := !final && now.Sub(p.last) < p.interval
@@ -79,12 +84,11 @@ func (p *Progress) TrialDone(index, done, total int) {
 		avg = p.sumTrial / time.Duration(done)
 	}
 	maxT := p.maxTrial
-	cb := p.OnDone
+	if p.OnDone != nil {
+		p.OnDone(p.finished, total)
+	}
 	p.mu.Unlock()
 
-	if cb != nil {
-		cb(done, total)
-	}
 	if throttled {
 		return
 	}

@@ -8,30 +8,27 @@ import (
 	"sync"
 
 	"costsense/internal/graph"
-	"costsense/internal/sim"
 )
 
 // Substrate is one cached, immutable experiment substrate: a generated
 // graph plus the derived artifacts every trial of a sweep would
-// otherwise recompute — total weight 𝓔, MST weight 𝓥, and (for
-// sharded runs) the node→shard partition. A Substrate is shared by
-// every job whose spec hashes to the same key, concurrently, so it
-// must never be mutated; since Go cannot hand out read-only slices,
-// immutability is enforced defensively instead: the content
-// fingerprint taken at build time is re-checked on every cache hit,
-// and a mismatch panics (see Verify).
+// otherwise recompute — total weight 𝓔 and MST weight 𝓥. A Substrate
+// is shared by every job whose spec hashes to the same key,
+// concurrently, so it must never be mutated; since Go cannot hand out
+// read-only slices, immutability is enforced defensively instead: the
+// content fingerprint taken at build time is re-checked on every cache
+// hit, and a mismatch panics (see Verify).
 type Substrate struct {
 	key         string
 	g           *graph.Graph
 	totalWeight int64 // 𝓔 = w(G)
 	mstWeight   int64 // 𝓥 = w(MST(G))
-	shardOf     []int32
 	bytes       int64
 	fp          uint64
 }
 
 // buildSubstrate generates the substrate a normalized spec describes.
-func buildSubstrate(key string, gs GraphSpec, shards int) *Substrate {
+func buildSubstrate(key string, gs GraphSpec) *Substrate {
 	g := gs.Build()
 	s := &Substrate{
 		key:         key,
@@ -39,13 +36,10 @@ func buildSubstrate(key string, gs GraphSpec, shards int) *Substrate {
 		totalWeight: g.TotalWeight(),
 		mstWeight:   graph.MSTWeight(g),
 	}
-	if shards > 1 {
-		s.shardOf = sim.ShardAssignment(g, shards)
-	}
 	// Size estimate for the byte-bounded cache: the graph's adjacency
 	// is ~2 edge records per endpoint plus the edge list itself; 48
 	// bytes per edge and 16 per vertex over-approximates both.
-	s.bytes = int64(g.M())*48 + int64(g.N())*16 + int64(len(s.shardOf))*4 + 256
+	s.bytes = int64(g.M())*48 + int64(g.N())*16 + 256
 	s.fp = s.fingerprint()
 	return s
 }
@@ -63,18 +57,20 @@ func (s *Substrate) TotalWeight() int64 { return s.totalWeight }
 // MSTWeight is 𝓥, cached at build time.
 func (s *Substrate) MSTWeight() int64 { return s.mstWeight }
 
-// ShardAssignment is the cached node→shard partition (nil for serial
-// substrates). Shared and read-only, like the graph.
-func (s *Substrate) ShardAssignment() []int32 { return s.shardOf }
+// ShardAssignment returns nil.
+//
+// Deprecated: substrates no longer carry a shard partition. The
+// perfbench module is the last caller.
+func (s *Substrate) ShardAssignment() []int32 { return nil }
 
 // Bytes is the substrate's estimated memory footprint, the unit of
 // the cache's eviction budget.
 func (s *Substrate) Bytes() int64 { return s.bytes }
 
 // fingerprint hashes everything reachable through the substrate's
-// accessors: vertex count, the full edge list, the shard assignment
-// and the derived weights. FNV-1a, not SHA — this runs on every cache
-// hit and only has to catch accidents, not adversaries.
+// accessors: vertex count, the full edge list and the derived
+// weights. FNV-1a, not SHA — this runs on every cache hit and only has
+// to catch accidents, not adversaries.
 func (s *Substrate) fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -88,9 +84,6 @@ func (s *Substrate) fingerprint() uint64 {
 		word(int64(e.U))
 		word(int64(e.V))
 		word(e.W)
-	}
-	for _, sh := range s.shardOf {
-		word(int64(sh))
 	}
 	word(s.totalWeight)
 	word(s.mstWeight)

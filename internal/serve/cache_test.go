@@ -5,33 +5,27 @@ import (
 	"testing"
 )
 
-func testSubstrate(t *testing.T, n int, shards int) *Substrate {
+func testSubstrate(t *testing.T, n int) *Substrate {
 	t.Helper()
-	s := Spec{Experiment: "flood", Graph: GraphSpec{Family: "ring", N: n}, Shards: shards}
+	s := Spec{Experiment: "flood", Graph: GraphSpec{Family: "ring", N: n}}
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	return buildSubstrate(s.SubstrateKey(), s.Graph, s.Shards)
+	return buildSubstrate(s.SubstrateKey(), s.Graph)
 }
 
 func TestSubstrateDerivedArtifacts(t *testing.T) {
-	s := testSubstrate(t, 8, 4)
+	s := testSubstrate(t, 8)
 	// A unit-weight ring: 𝓔 = n, 𝓥 = n-1.
 	if s.TotalWeight() != 8 || s.MSTWeight() != 7 {
 		t.Fatalf("ring weights: 𝓔=%d 𝓥=%d, want 8/7", s.TotalWeight(), s.MSTWeight())
-	}
-	if len(s.ShardAssignment()) != 8 {
-		t.Fatalf("shard assignment has %d entries, want 8", len(s.ShardAssignment()))
-	}
-	if testSubstrate(t, 8, 0).ShardAssignment() != nil {
-		t.Fatal("serial substrate should have no shard assignment")
 	}
 }
 
 func TestCacheHitAndMiss(t *testing.T) {
 	c := NewCache(1 << 20)
 	builds := 0
-	build := func() *Substrate { builds++; return testSubstrate(t, 8, 0) }
+	build := func() *Substrate { builds++; return testSubstrate(t, 8) }
 	a, hit := c.GetOrBuild("k1", build)
 	if hit || builds != 1 {
 		t.Fatalf("first get: hit=%v builds=%d, want miss/1", hit, builds)
@@ -49,10 +43,10 @@ func TestCacheHitAndMiss(t *testing.T) {
 // LRU eviction: filling past the byte budget drops the least recently
 // used entry, and a Get refreshes recency.
 func TestCacheEviction(t *testing.T) {
-	one := testSubstrate(t, 8, 0)
+	one := testSubstrate(t, 8)
 	c := NewCache(one.Bytes()*2 + one.Bytes()/2) // room for two entries
 	get := func(key string) (*Substrate, bool) {
-		return c.GetOrBuild(key, func() *Substrate { return testSubstrate(t, 8, 0) })
+		return c.GetOrBuild(key, func() *Substrate { return testSubstrate(t, 8) })
 	}
 	get("a")
 	get("b")
@@ -75,7 +69,7 @@ func TestCacheEviction(t *testing.T) {
 // newest entry is never evicted).
 func TestCacheOversizedEntry(t *testing.T) {
 	c := NewCache(1) // absurdly small
-	s, hit := c.GetOrBuild("big", func() *Substrate { return testSubstrate(t, 8, 0) })
+	s, hit := c.GetOrBuild("big", func() *Substrate { return testSubstrate(t, 8) })
 	if s == nil || hit {
 		t.Fatalf("oversized build: sub=%v hit=%v", s, hit)
 	}
@@ -89,8 +83,8 @@ func TestCacheOversizedEntry(t *testing.T) {
 // stop being a function of the spec.
 func TestCacheVerifyPanicsOnMutation(t *testing.T) {
 	c := NewCache(1 << 20)
-	s, _ := c.GetOrBuild("k", func() *Substrate { return testSubstrate(t, 8, 4) })
-	s.ShardAssignment()[3] = 0 // the forbidden write
+	s, _ := c.GetOrBuild("k", func() *Substrate { return testSubstrate(t, 8) })
+	s.Graph().Edges()[3].W = 99 // the forbidden write
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -31,6 +31,9 @@ type Client struct {
 	BaseBackoff time.Duration
 }
 
+// maxResultBytes bounds the result body Client.Result reads.
+const maxResultBytes = 64 << 20
+
 func (c *Client) http() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
@@ -211,19 +214,29 @@ func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 	return st, err
 }
 
-// Result fetches a finished job's result bytes.
+// Result fetches a finished job's result bytes. A body larger than
+// 64 MiB is an error, never a truncated result.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 	resp, err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+id+"/result", nil)
 	if err != nil {
 		return nil, err
 	}
+	return readResult(resp, id, maxResultBytes)
+}
+
+// readResult reads and closes a result response of at most limit
+// bytes.
+func readResult(resp *http.Response, id string, limit int64) ([]byte, error) {
 	defer resp.Body.Close() //costsense:err-ok response fully read below; a close error has nothing left to corrupt
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("serve client: result status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
+	}
+	if int64(len(b)) > limit {
+		return nil, fmt.Errorf("serve client: result of job %s exceeds %d bytes", id, limit)
 	}
 	return b, nil
 }

@@ -180,3 +180,26 @@ func TestClientRunReportsTypedFailure(t *testing.T) {
 		t.Fatalf("state=%s reason=%s res=%v, want failed/deadline/nil", st.State, st.Reason, res)
 	}
 }
+
+// TestClientResultLimit: a result body over the limit is an error,
+// not a silently truncated result; one at the limit is whole.
+func TestClientResultLimit(t *testing.T) {
+	body := bytes.Repeat([]byte("x"), 1024)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(body)
+	}))
+	defer ts.Close()
+	read := func(limit int64) ([]byte, error) {
+		resp, err := http.Get(ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return readResult(resp, "job-000001", limit)
+	}
+	if got, err := read(int64(len(body))); err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("body at the limit: %d bytes, err %v; want all %d", len(got), err, len(body))
+	}
+	if got, err := read(int64(len(body)) - 1); err == nil {
+		t.Fatalf("body over the limit returned %d bytes and no error", len(got))
+	}
+}

@@ -210,9 +210,6 @@ func runSpec(ctx context.Context, spec Spec, sub *Substrate, sink harness.Sink) 
 			if spec.EventLimit > 0 {
 				opts = append(opts, sim.WithEventLimit(spec.EventLimit))
 			}
-			if spec.Shards > 1 {
-				opts = append(opts, sim.WithShardAssignment(sub.ShardAssignment()))
-			}
 			if spec.Faults != nil {
 				rel, _ := reliable.Install(reliable.Config{})
 				opts = append(opts, sim.WithFaults(plan), rel)

@@ -44,7 +44,7 @@ var errJobDeadline = errors.New("serve: job deadline exceeded")
 // Job is one admitted experiment submission. Its mutable fields are
 // written by the scheduler goroutine and read by HTTP handlers, hence
 // the atomics; result, errMsg and failReason are published by the
-// atomic state store and by closing finished.
+// atomic state store and by closing finished (see terminate).
 type Job struct {
 	id        string
 	spec      Spec
@@ -98,12 +98,17 @@ func newJob(id string, spec Spec) *Job {
 // progress mutex only.
 func (j *Job) TrialStart(int) {}
 
-// TrialDone records progress; done is the harness's monotone finished
-// count. Every progressStep-th trial also lands a line in the progress
-// log, so streams see steady movement without a per-trial allocation
-// storm on big sweeps.
+// TrialDone records progress; done is the harness's finished count.
+// Workers that finish together may report their counts out of order,
+// so the stored count only ever moves up. Every progressStep-th trial
+// also lands a line in the progress log, so streams see steady
+// movement without a per-trial allocation storm on big sweeps.
 func (j *Job) TrialDone(_, done, total int) {
-	j.trialsDone.Store(int64(done))
+	for cur := j.trialsDone.Load(); int64(done) > cur; cur = j.trialsDone.Load() {
+		if j.trialsDone.CompareAndSwap(cur, int64(done)) {
+			break
+		}
+	}
 	step := total / 64
 	if step < 1 {
 		step = 1
@@ -138,7 +143,7 @@ func (j *Job) appendProgress() {
 // progressSince returns the log lines at and after offset from, the
 // channel that will signal the next append, and whether the log is
 // complete (the job is terminal and from has reached the end — the
-// terminal line is always appended before finished closes).
+// terminal line and the closing of finished are one step under pmu).
 func (j *Job) progressSince(from int) (lines [][]byte, notify <-chan struct{}, done bool) {
 	j.pmu.Lock()
 	defer j.pmu.Unlock()
@@ -217,20 +222,44 @@ func (j *Job) status() JobStatus {
 
 func (j *Job) complete(result []byte) {
 	j.result = result
-	j.finishedAt.Store(nowUnixNano())
-	j.state.Store(jobDone)
-	j.appendProgress() // terminal line lands before finished closes
-	close(j.finished)
+	j.terminate(jobDone)
 }
 
 // fail moves the job to failed with a typed reason and human detail.
 func (j *Job) fail(reason, msg string) {
 	j.errMsg = msg
 	j.failReason = reason
+	j.terminate(jobFailed)
+}
+
+// terminate publishes the job's outcome in one step under pmu: the
+// terminal state, the terminal line and the closing of finished. A
+// stream that has read the terminal line, or a poller that has seen
+// the terminal state, then finds the result ready (ready takes pmu),
+// and no stream can wait past its terminal line.
+func (j *Job) terminate(st int32) {
 	j.finishedAt.Store(nowUnixNano())
-	j.state.Store(jobFailed)
-	j.appendProgress() // terminal line lands before finished closes
+	j.pmu.Lock()
+	defer j.pmu.Unlock()
+	j.state.Store(st)
+	j.plines = append(j.plines, j.statusLine())
 	close(j.finished)
+	close(j.pnotify)
+	j.pnotify = make(chan struct{})
+}
+
+// ready reports whether the job's outcome is published. It waits out
+// a terminate in progress, so it agrees with every terminal line and
+// terminal state a caller has already seen.
+func (j *Job) ready() bool {
+	j.pmu.Lock()
+	defer j.pmu.Unlock()
+	select {
+	case <-j.finished:
+		return true
+	default:
+		return false
+	}
 }
 
 // Config tunes a Server.
@@ -240,10 +269,6 @@ type Config struct {
 	QueueCap int
 	// CacheBytes bounds the substrate cache (default 256 MiB).
 	CacheBytes int64
-	// StreamInterval is retained for configs that set it; progress
-	// streams are driven by the job's progress log rather than a
-	// ticker, so it no longer paces emission.
-	StreamInterval time.Duration
 	// JournalPath, when non-empty, enables the durable job journal:
 	// every job state transition is an fsync'd NDJSON record, and the
 	// next startup on the same path re-enqueues incomplete jobs (see
@@ -321,9 +346,6 @@ func New(cfg Config) *Server {
 func Open(cfg Config) (*Server, error) {
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 16
-	}
-	if cfg.StreamInterval <= 0 {
-		cfg.StreamInterval = 250 * time.Millisecond
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -556,7 +578,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	s.journalAppend(journalRecord{Op: opStarted, Job: j.id}) //costsense:err-ok journalAppend already counts and logs the failure; a dead disk degrades durability, never the scheduler
 	key := j.spec.SubstrateKey()
 	sub, hit := s.cache.GetOrBuild(key, func() *Substrate {
-		return buildSubstrate(key, j.spec.Graph, j.spec.Shards)
+		return buildSubstrate(key, j.spec.Graph)
 	})
 	j.cached.Store(hit)
 	j.startedAt.Store(nowUnixNano())
@@ -813,9 +835,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	select {
-	case <-j.finished:
-	default:
+	if !j.ready() {
 		writeError(w, http.StatusConflict, "job is %s; result not ready", stateName(j.state.Load()))
 		return
 	}
@@ -830,8 +850,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleStream serves the job's progress log as NDJSON: every line
 // already in the log, then new lines as they land, until the terminal
-// line (always the log's last — complete/fail append it before
-// closing finished). ?from=N skips the first N lines, which is how a
+// line (always the log's last — terminate appends it and closes
+// finished in one step). ?from=N skips the first N lines, which is how a
 // client resumes after a disconnect or a server restart without
 // replaying history it already has; if the job is terminal and the
 // (re-grown) log is shorter than N, one fresh terminal status line is

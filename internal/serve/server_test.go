@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -149,30 +150,28 @@ func TestResultBytesIdenticalAcrossSubmissions(t *testing.T) {
 	}
 }
 
-// Sharded specs must produce the same trial rows as serial ones (the
-// engines are byte-identical); only the substrate key differs.
+// A spec that still carries shards — from a client or journal that
+// predates the one-engine simulator — normalizes to its serial twin:
+// the same result bytes, spec echo and substrate key included.
 func TestShardedMatchesSerial(t *testing.T) {
 	s, ts := testServer(t, Config{})
-	type variant struct{ shards int }
-	var rows [2]json.RawMessage
-	for i, v := range []variant{{0}, {4}} {
+	var results [3][]byte
+	for i, shards := range []int{0, 2, 4} {
 		spec := validSpec()
 		spec.Experiment = "ghs"
-		spec.Shards = v.shards
+		spec.Shards = shards
 		_, out, _ := postSpec(t, ts, spec)
 		id := out["id"].(string)
 		waitDone(t, s, id)
-		var res struct {
-			Trials    json.RawMessage `json:"trials"`
-			Aggregate json.RawMessage `json:"aggregate"`
-		}
-		if err := json.Unmarshal(fetchResult(t, ts, id), &res); err != nil {
-			t.Fatal(err)
-		}
-		rows[i] = res.Trials
+		results[i] = fetchResult(t, ts, id)
 	}
-	if !bytes.Equal(rows[0], rows[1]) {
-		t.Fatal("sharded trial rows differ from serial")
+	for i := 1; i < len(results); i++ {
+		if !bytes.Equal(results[0], results[i]) {
+			t.Errorf("spec with shards differs from its serial twin:\n%s\nvs\n%s", results[i], results[0])
+		}
+	}
+	if bytes.Contains(results[0], []byte(`"shards"`)) {
+		t.Error("result echoes a shards field")
 	}
 }
 
@@ -233,7 +232,7 @@ func TestSubmitBackpressureAndValidation(t *testing.T) {
 
 // The NDJSON stream terminates with the job's terminal status.
 func TestStream(t *testing.T) {
-	s, ts := testServer(t, Config{StreamInterval: 20 * time.Millisecond})
+	s, ts := testServer(t, Config{})
 	spec := validSpec()
 	spec.Trials = 8
 	_, out, _ := postSpec(t, ts, spec)
@@ -268,6 +267,92 @@ func TestStream(t *testing.T) {
 	_ = s
 }
 
+// TestResultReadyOnDoneLine: the terminal stream line and result
+// readiness are one step. Many tiny jobs, each streamed to EOF and
+// fetched the instant the stream ends, must always get their result —
+// never 409 "result not ready" — and no stream may outlive its
+// terminal line. Run under -race.
+func TestResultReadyOnDoneLine(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	spec := Spec{Experiment: "flood", Graph: GraphSpec{Family: "ring", N: 4}}
+	hc := &http.Client{Timeout: 20 * time.Second} // a stream stuck past its terminal line times out
+	const clients, jobs = 4, 50
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		go func() {
+			errs <- func() error {
+				for i := 0; i < jobs; i++ {
+					body, _ := json.Marshal(spec)
+					resp, err := hc.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+					if err != nil {
+						return err
+					}
+					var out struct{ ID string }
+					err = json.NewDecoder(resp.Body).Decode(&out)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusAccepted {
+						return fmt.Errorf("submit: status %d, %v", resp.StatusCode, err)
+					}
+					resp, err = hc.Get(ts.URL + "/api/v1/jobs/" + out.ID + "/stream")
+					if err != nil {
+						return err
+					}
+					lines, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil {
+						return fmt.Errorf("stream %s: %v", out.ID, err)
+					}
+					lines = bytes.TrimSpace(lines)
+					var last JobStatus
+					if err := json.Unmarshal(lines[bytes.LastIndexByte(lines, '\n')+1:], &last); err != nil || last.State != "done" {
+						return fmt.Errorf("stream %s did not end on its done line (%v): %s", out.ID, err, lines)
+					}
+					resp, err = hc.Get(ts.URL + "/api/v1/jobs/" + out.ID + "/result")
+					if err != nil {
+						return err
+					}
+					b, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						return fmt.Errorf("result %s right after its done line: status %d (%s)", out.ID, resp.StatusCode, b)
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	for c := 0; c < clients; c++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestTrialsDoneMonotone: trial workers may report their finished
+// counts out of order; the job keeps the largest, so a finished
+// multi-worker job reports trials_done == trials.
+func TestTrialsDoneMonotone(t *testing.T) {
+	j := newJob("job-000001", validSpec())
+	j.TrialDone(0, 2, 3)
+	j.TrialDone(1, 1, 3) // the slower worker's earlier count lands last
+	if got := j.trialsDone.Load(); got != 2 {
+		t.Fatalf("trials_done = %d after counts 2 then 1, want 2", got)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // several harness workers
+	s, ts := testServer(t, Config{})
+	spec := Spec{Experiment: "flood", Graph: GraphSpec{Family: "ring", N: 4}, Trials: 200}
+	for i := 0; i < 5; i++ {
+		_, out, _ := postSpec(t, ts, spec)
+		id := out["id"].(string)
+		waitDone(t, s, id)
+		st := getJSON(t, ts.URL+"/api/v1/jobs/"+id, http.StatusOK)
+		if st["trials_done"].(float64) != 200 {
+			t.Fatalf("finished job %s reports trials_done %v, want 200", id, st["trials_done"])
+		}
+	}
+}
+
 // TestDrainWhileStreaming: Drain racing a live NDJSON stream must
 // terminate the stream with a terminal status line rather than leave
 // the handler parked, and the post-drain status must agree with the
@@ -275,7 +360,7 @@ func TestStream(t *testing.T) {
 // the scheduler-goroutine/handler hand-off on the Job's atomics and
 // the runCtx/finished shutdown ordering in handleStream.
 func TestDrainWhileStreaming(t *testing.T) {
-	s := New(Config{StreamInterval: 2 * time.Millisecond})
+	s := New(Config{})
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -3,7 +3,7 @@
 // them on a bounded job queue with backpressure, runs their trials on
 // the harness worker pool with pooled per-worker simulator state, and
 // caches immutable substrates (generated graphs plus their derived
-// artifacts — 𝓔, 𝓥, shard partitions) in a content-addressed LRU
+// artifacts — 𝓔, 𝓥) in a content-addressed LRU
 // store, so a thousand-trial sweep builds its substrate once.
 //
 // Results are a pure function of the spec: two submissions of the same
@@ -40,9 +40,13 @@ type Spec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Root is the root/source vertex for rooted experiments.
 	Root int `json:"root,omitempty"`
-	// Shards > 1 runs trials on the sharded engine with the cached
-	// shard assignment of the substrate (results are byte-identical
-	// to serial).
+	// Shards is accepted for compatibility with journals and clients
+	// from before the engine ran every execution on one event loop:
+	// it is range-checked, then Normalize sets it to 0, so a spec
+	// that carries it runs, keys and encodes exactly like its serial
+	// twin.
+	//
+	// Deprecated: the perfbench module is the last writer.
 	Shards int `json:"shards,omitempty"`
 	// EventLimit overrides the per-run event budget (default: the
 	// simulator's 50M).
@@ -60,8 +64,8 @@ type Spec struct {
 }
 
 // GraphSpec names a deterministic graph generator and its parameters.
-// Together with the shard count it is the substrate cache key: two
-// specs with equal normalized GraphSpecs share one cached graph.
+// It is the substrate cache key: two specs with equal normalized
+// GraphSpecs share one cached graph.
 type GraphSpec struct {
 	// Family is the generator: path, ring, star, complete, grid,
 	// random, hard, heavychord.
@@ -167,9 +171,7 @@ func (s *Spec) Normalize() error {
 	if s.Shards < 0 || s.Shards > maxShardCount {
 		return fmt.Errorf("shards %d out of range [0, %d]", s.Shards, maxShardCount)
 	}
-	if s.Shards == 1 {
-		s.Shards = 0 // 1 shard is the serial engine; canonicalize
-	}
+	s.Shards = 0 // every run is serial; see the field's doc
 	if s.EventLimit < 0 {
 		return fmt.Errorf("event_limit must be >= 0")
 	}
@@ -344,15 +346,15 @@ func (g GraphSpec) Build() *graph.Graph {
 
 // SubstrateKey derives the content address of the substrate this spec
 // runs on: SHA-256 over the canonical JSON of the normalized graph
-// spec plus the shard count (the shard partition is a cached derived
-// artifact, so substrates with different shard counts are distinct
-// entries). Equal sweeps — whatever their trial counts, seeds, delay
-// models or fault plans — share one substrate.
+// spec. Equal sweeps — whatever their trial counts, seeds, delay
+// models or fault plans — share one substrate. The material keeps a
+// "shards" member, always 0, so keys (which results echo) stay the
+// ones earlier servers derived for the same serial spec.
 func (s *Spec) SubstrateKey() string {
 	material, err := json.Marshal(struct {
 		Graph  GraphSpec `json:"graph"`
 		Shards int       `json:"shards"`
-	}{s.Graph, s.Shards})
+	}{s.Graph, 0})
 	if err != nil {
 		panic(fmt.Sprintf("serve: marshalling substrate key material: %v", err))
 	}

@@ -64,9 +64,8 @@ func TestNormalizeRejects(t *testing.T) {
 }
 
 // Substrate keys must identify graph content, not incidental spec
-// fields: trials/seed/delay/faults don't affect the key, graph params
-// and shard count do, and irrelevant family parameters are
-// canonicalized away.
+// fields: trials/seed/delay/faults/shards don't affect the key, graph
+// params do, and irrelevant family parameters are canonicalized away.
 func TestSubstrateKey(t *testing.T) {
 	base := validSpec()
 	if err := base.Normalize(); err != nil {
@@ -86,7 +85,8 @@ func TestSubstrateKey(t *testing.T) {
 		"delay":      func(s *Spec) { s.Delay = "uniform" },
 		"faults":     func(s *Spec) { s.Faults = &FaultSpec{Drop: 0.1} },
 		"experiment": func(s *Spec) { s.Experiment = "ghs" },
-		"one shard":  func(s *Spec) { s.Shards = 1 }, // canonicalized to 0
+		"one shard":  func(s *Spec) { s.Shards = 1 }, // normalized to 0
+		"shards":     func(s *Spec) { s.Shards = 4 }, // normalized to 0
 	}
 	for name, mut := range same {
 		if k := key(mut); k != base.SubstrateKey() {
@@ -99,7 +99,6 @@ func TestSubstrateKey(t *testing.T) {
 		"graph seed": func(s *Spec) { s.Graph.Seed = 8 },
 		"weights":    func(s *Spec) { s.Graph.Weights.Max = 64 },
 		"family":     func(s *Spec) { s.Graph = GraphSpec{Family: "ring", N: 40} },
-		"shards":     func(s *Spec) { s.Shards = 4 },
 	}
 	for name, mut := range diff {
 		if k := key(mut); k == base.SubstrateKey() {

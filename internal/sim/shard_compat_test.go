@@ -10,6 +10,12 @@ import (
 	"costsense/internal/graph"
 )
 
+// The engine has one event loop. WithShardAssignment and ShardAssignment
+// survive only as deprecated no-ops for callers written against the
+// removed sharded engine, and their contract is that such a caller gets
+// the serial execution byte for byte. The tests below pin that contract
+// with the shard counts the sharded engine was checked at.
+
 // logObserver records every callback, payload included, as one
 // formatted line. Two runs are observably identical exactly when their
 // logs match line for line — a stronger check than comparing derived
@@ -39,16 +45,22 @@ func (o *logObserver) OnQuiesce(s *Stats) {
 	o.lines = append(o.lines, fmt.Sprintf("Q %+v", *s))
 }
 
-// shardCase builds the option sets whose results must coincide: the
-// serial engine and the sharded engine at 2, 4 and #clusters shards
-// (1 shard is the serial path by construction).
+// shardCounts is the shard counts a legacy caller may ask for: 2, 4
+// and one shard per γ cluster.
 func shardCounts(g *graph.Graph) []int {
 	nc := cover.NewPartitionGrowth(g, 2).NumClusters()
 	return []int{2, 4, nc}
 }
 
-// runPair runs the same configuration serially and sharded, returning
-// both networks after their runs for trace comparison.
+// withLegacyShards is what a caller of the removed sharded engine
+// passes: a k-shard assignment of g.
+func withLegacyShards(g *graph.Graph, k int) Option {
+	return WithShardAssignment(ShardAssignment(g, k))
+}
+
+// runPair runs the same configuration plainly and with a legacy shard
+// assignment, returning both networks after their runs for trace
+// comparison.
 func runPair(t *testing.T, g *graph.Graph, mk func() Process, shards int, opts ...Option) (*Network, *Network, *Stats, *Stats) {
 	t.Helper()
 	build := func(extra ...Option) (*Network, *Stats) {
@@ -67,17 +79,17 @@ func runPair(t *testing.T, g *graph.Graph, mk func() Process, shards int, opts .
 		return n, st
 	}
 	ns, ss := build()
-	np, sp := build(WithShards(shards))
+	np, sp := build(withLegacyShards(g, shards))
 	return ns, np, ss, sp
 }
 
-// assertIdentical compares every observable of a serial/sharded pair:
+// assertIdentical compares every observable of a plain/legacy pair:
 // full Stats (fault counters and UsedEdges included), trace keys and
 // every trace point sequence.
 func assertIdentical(t *testing.T, ns, np *Network, ss, sp *Stats) {
 	t.Helper()
 	if !reflect.DeepEqual(ss, sp) {
-		t.Errorf("sharded Stats diverged:\n serial  %+v\n sharded %+v", ss, sp)
+		t.Errorf("Stats diverged:\n serial  %+v\n sharded %+v", ss, sp)
 	}
 	sk, pk := ns.Traces(), np.Traces()
 	if !reflect.DeepEqual(sk, pk) {
@@ -90,11 +102,10 @@ func assertIdentical(t *testing.T, ns, np *Network, ss, sp *Stats) {
 	}
 }
 
-// TestShardedMatchesSerial: the tentpole golden suite. Every delay
-// model x congestion x seed case from the serial golden table, with
-// and without a fault plan, across shard counts {2, 4, #clusters} —
-// Stats, traces and the complete observer callback log must be
-// byte-identical to the serial engine.
+// TestShardedMatchesSerial: every delay model x congestion x seed case
+// from the serial golden table, with and without a fault plan, given a
+// legacy shard assignment at each shard count — Stats and traces must
+// be identical to the plain run.
 func TestShardedMatchesSerial(t *testing.T) {
 	g := graph.RandomConnected(40, 120, graph.UniformWeights(32, 7), 7)
 	plans := []struct {
@@ -126,10 +137,10 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedObserverLogIdentical replays the full observer callback
-// stream of a sharded run and requires it to match the serial stream
-// line for line, payloads and sequence numbers included — clean and
-// faulty, plain and congested.
+// TestShardedObserverLogIdentical: the full observer callback stream of
+// a run given a legacy shard assignment matches the plain run line for
+// line, payloads and sequence numbers included — clean and faulty,
+// plain and congested.
 func TestShardedObserverLogIdentical(t *testing.T) {
 	g := graph.RandomConnected(40, 120, graph.UniformWeights(32, 7), 7)
 	fp := RandomFaultPlan(g, 99, 0.06, 0.08, 3, 6, 60)
@@ -161,7 +172,7 @@ func TestShardedObserverLogIdentical(t *testing.T) {
 						opts = append(opts, WithFaults(fp))
 					}
 					if shards > 1 {
-						opts = append(opts, WithShards(shards))
+						opts = append(opts, withLegacyShards(g, shards))
 					}
 					if _, err := Run(g, procs, opts...); err != nil {
 						t.Fatal(err)
@@ -182,9 +193,9 @@ func TestShardedObserverLogIdentical(t *testing.T) {
 	}
 }
 
-// timerPinger exercises TimerContext under sharding: every node
-// schedules staggered timers from Init, each firing sends a token to
-// the next neighbor and records a trace point.
+// timerPinger exercises TimerContext: every node schedules staggered
+// timers from Init, each firing sends a token to the next neighbor and
+// records a trace point.
 type timerPinger struct{ fired int64 }
 
 func (p *timerPinger) Init(ctx Context) {
@@ -208,8 +219,8 @@ func (p *timerPinger) Handle(ctx Context, from graph.NodeID, m Message) {
 	}
 }
 
-// TestShardedTimers: timers are shard-local events; their interleaving
-// with deliveries must match the serial engine exactly.
+// TestShardedTimers: with a legacy shard assignment, timers interleave
+// with deliveries exactly as in the plain run.
 func TestShardedTimers(t *testing.T) {
 	g := graph.RandomConnected(30, 70, graph.UniformWeights(16, 3), 11)
 	for _, k := range shardCounts(g) {
@@ -223,99 +234,51 @@ func TestShardedTimers(t *testing.T) {
 	}
 }
 
-// TestShardedDegeneratePartitions: the regression cases of the cover
-// partition satellite — a graph whose γ clustering collapses to one
-// cluster (star: the partitioner must fall back to the contiguous
-// split) and a pinned n-shard assignment (every vertex its own shard)
-// must both run correctly and byte-identically to serial.
-func TestShardedDegeneratePartitions(t *testing.T) {
-	t.Run("one-cluster-star", func(t *testing.T) {
-		g := graph.Star(33, graph.UniformWeights(16, 5))
-		if nc := cover.NewPartitionGrowth(g, 2).NumClusters(); nc != 1 {
-			t.Fatalf("star clustered into %d clusters, want 1 (degenerate case lost)", nc)
-		}
-		ns, np, ss, sp := runPair(t, g, func() Process { return &ackFlooder{} }, 4, WithSeed(2))
-		assertIdentical(t, ns, np, ss, sp)
-	})
-	t.Run("n-shards-identity", func(t *testing.T) {
-		g := graph.RandomConnected(24, 60, graph.UniformWeights(16, 5), 9)
-		ident := make([]int32, g.N())
-		for v := range ident {
-			ident[v] = int32(v)
-		}
-		build := func(opts ...Option) (*Network, *Stats) {
-			procs := make([]Process, g.N())
-			for v := range procs {
-				procs[v] = &ackFlooder{}
-			}
-			n, err := NewNetwork(g, procs, append([]Option{WithDelay(DelayUniform{}), WithSeed(4)}, opts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := n.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return n, st
-		}
-		ns, ss := build()
-		np, sp := build(WithShardAssignment(ident))
-		assertIdentical(t, ns, np, ss, sp)
-	})
-	t.Run("bad-assignment-length", func(t *testing.T) {
-		g := graph.Path(4, graph.UnitWeights())
-		procs := []Process{silent{}, silent{}, silent{}, silent{}}
-		_, err := Run(g, procs, WithShardAssignment([]int32{0, 1}))
-		if err == nil {
-			t.Fatal("short shard assignment did not error")
-		}
-	})
-}
-
-// TestShardedEventLimit: an exhausted budget must still surface as
-// *ErrEventLimit from the sharded engine (its count fields are
-// documented as approximate).
+// TestShardedEventLimit: a legacy shard assignment does not bypass the
+// event budget; an exhausted budget surfaces as *ErrEventLimit.
 func TestShardedEventLimit(t *testing.T) {
 	g := graph.RandomConnected(30, 80, graph.UniformWeights(8, 3), 5)
 	procs := make([]Process, g.N())
 	for v := range procs {
 		procs[v] = &obsFlooder{}
 	}
-	_, err := Run(g, procs, WithShards(3), WithEventLimit(10))
+	_, err := Run(g, procs, withLegacyShards(g, 3), WithEventLimit(10))
 	var lim *ErrEventLimit
 	if !errors.As(err, &lim) {
-		t.Fatalf("sharded run with tiny budget returned %v, want *ErrEventLimit", err)
+		t.Fatalf("run with a shard assignment and a tiny budget returned %v, want *ErrEventLimit", err)
 	}
 	if lim.Limit != 10 {
 		t.Errorf("ErrEventLimit.Limit = %d, want 10", lim.Limit)
 	}
 }
 
-// TestNodeSeedPinned pins the per-node stream split function forever:
-// these values are baked into every golden result recorded after the
-// move to per-node RNG streams, so nodeSeed may never change again.
-func TestNodeSeedPinned(t *testing.T) {
-	for _, c := range []struct {
-		seed int64
-		v    int32
-		want int64
-	}{
-		{seed: 1, v: 0, want: -7995527694508729151},
-		{seed: 1, v: 1, want: -4689498862643123097},
-		{seed: 42, v: 7, want: -3677692746721775708},
-	} {
-		if got := nodeSeed(c.seed, c.v); got != c.want {
-			t.Errorf("nodeSeed(%d, %d) = %d, want %d", c.seed, c.v, got, c.want)
-		}
+// TestResetSharded: network reuse with a legacy shard assignment — a
+// Reset network given one matches a fresh plain run, and vice versa.
+func TestResetSharded(t *testing.T) {
+	g := resetTestGraph()
+	fresh, err := NewNetwork(g, resetTestProcs(g), WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Distinctness across vertices and seeds (collisions here would
-	// correlate supposedly-independent streams).
-	seen := map[int64]bool{}
-	for v := int32(0); v < 1000; v++ {
-		s := nodeSeed(1, v)
-		if seen[s] {
-			t.Fatalf("nodeSeed collision at v=%d", v)
-		}
-		seen[s] = true
+	want := captureRun(t, fresh)
+
+	n, err := NewNetwork(g, resetTestProcs(g), withLegacyShards(g, 4), WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := captureRun(t, n); !got.equal(want) {
+		t.Fatal("fresh run with a shard assignment diverged from the plain run")
+	}
+	if err := n.Reset(resetTestProcs(g), WithSeed(5)); err != nil {
+		t.Fatal(err)
+	}
+	if got := captureRun(t, n); !got.equal(want) {
+		t.Errorf("plain run on a network previously given a shard assignment diverged")
+	}
+	if err := n.Reset(resetTestProcs(g), withLegacyShards(g, 4), WithSeed(5)); err != nil {
+		t.Fatal(err)
+	}
+	if got := captureRun(t, n); !got.equal(want) {
+		t.Errorf("reused run with a shard assignment diverged")
 	}
 }

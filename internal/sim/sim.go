@@ -116,42 +116,6 @@ func (DelayUniform) Delay(e graph.Edge, rng *rand.Rand) int64 {
 	return 1 + rng.Int63n(e.W)
 }
 
-// LookaheadModel is the optional lower-bound capability of a
-// DelayModel: MinDelay returns a value every Delay call for e is
-// guaranteed to be at least. The sharded engine uses it to widen the
-// conservative lookahead windows on cut edges — under DelayMax the
-// bound is the full edge weight, so shards synchronize only as often
-// as the lightest cut edge could actually carry a message. A model
-// without the capability is bounded by the universal minimum of 1
-// (the DelayModel contract is delay in [1, w(e)]).
-type LookaheadModel interface {
-	MinDelay(e graph.Edge) int64
-}
-
-// MinDelay returns w(e): the maximal adversary always takes the full
-// weight.
-func (DelayMax) MinDelay(e graph.Edge) int64 { return e.W }
-
-// MinDelay returns 1.
-func (DelayUnit) MinDelay(graph.Edge) int64 { return 1 }
-
-// MinDelay returns 1, the bottom of the uniform range.
-func (DelayUniform) MinDelay(graph.Edge) int64 { return 1 }
-
-// minDelayOf resolves the guaranteed delay lower bound of edge e under
-// the configured model, clamped to >= 1.
-func (n *Network) minDelayOf(e graph.Edge) int64 {
-	if n.delayIsMax {
-		return e.W
-	}
-	if lm, ok := n.delay.(LookaheadModel); ok {
-		if d := lm.MinDelay(e); d > 1 {
-			return d
-		}
-	}
-	return 1
-}
-
 // ClassStats aggregates the cost of one message class.
 type ClassStats struct {
 	Messages int64 // number of messages
@@ -249,9 +213,8 @@ type TracePoint struct {
 // attempt, duplicate or timer that node originates), not a global
 // counter: the ordering key (at, from, seq) is then a pure function of
 // each node's own deterministic execution, independent of how events
-// from different nodes interleave globally. That independence is what
-// lets the sharded engine (engine_parallel.go) process disjoint node
-// sets concurrently and still replay the exact serial order.
+// from different nodes interleave globally. The key is baked into
+// every pinned golden (determinism_test.go), so it may not change.
 type event struct {
 	at     int64
 	seq    int64
@@ -269,10 +232,7 @@ const (
 
 // Less orders events by (time, sender, sender's push sequence). The
 // (from, seq) pair is globally unique, so the order is total and runs
-// are deterministic no matter how the queue breaks ties internally —
-// and, because every component is computed locally by the sender, the
-// order is identical whether events are processed on one queue or
-// merged across shard queues.
+// are deterministic no matter how the queue breaks ties internally.
 //
 //costsense:hotpath
 func (e event) Less(f event) bool {
@@ -297,8 +257,8 @@ func WithDelay(d DelayModel) Option {
 // deterministic for a fixed seed and delay model. Every node draws
 // from its own stream, split from the seed by a fixed mixing function
 // (nodeSeed), so a node's draws depend only on its own send sequence —
-// never on how events from different nodes interleave. Serial and
-// sharded runs therefore see identical draws.
+// never on how events from different nodes interleave. The split is
+// pinned by TestNodeSeedPinned.
 func WithSeed(seed int64) Option {
 	return func(n *Network) { n.seed = seed }
 }
@@ -320,45 +280,21 @@ func WithCongestion() Option {
 	return func(n *Network) { n.congested = true }
 }
 
-// WithShards runs the event loop on k concurrent shards (one worker
-// goroutine per shard), partitioned with the synchronizer-γ cluster
-// primitive (internal/cover) and synchronized by conservative
-// lookahead windows derived from the minimum possible delay on cut
-// edges. Results — Stats, traces, observer probes and their exports,
-// and every seeded-RNG draw — are byte-identical to the serial engine;
-// see DESIGN.md "Sharded engine & conservative lookahead" for the
-// argument. k <= 1 (the default) keeps the untouched serial hot path.
+// WithShardAssignment returns an option that does nothing.
 //
-// Two serial/sharded divergences are documented rather than hidden:
-// an exhausted WithEventLimit budget still aborts the run with
-// *ErrEventLimit, but the exact event count and in-flight snapshot in
-// the error depend on where the shards were stopped; and with an
-// observer installed, probes are replayed in exact serial order after
-// the run rather than during it, so probe payloads reflect any
-// mutation the receiving Handle performed (the bundled internal/obs
-// observers read only the scalar probe structs and are unaffected).
-func WithShards(k int) Option {
-	return func(n *Network) { n.shards = k }
+// Deprecated: the engine runs every execution on one event loop, so a
+// node -> shard map has nothing to configure. The perfbench module is
+// the last caller; the Sharded* tests pin that a run given the option
+// is byte-identical to the plain run.
+func WithShardAssignment([]int32) Option {
+	return func(*Network) {}
 }
 
-// WithShardAssignment pins the node -> shard map instead of computing
-// one: shardOf[v] is v's shard in [0, k) where k = max+1. Used by
-// tests and benchmarks to force degenerate or hand-built partitions
-// through the sharded engine; WithShards' automatic partitioner is the
-// normal path. The assignment is validated at Run: len(shardOf) must
-// equal the vertex count.
-func WithShardAssignment(shardOf []int32) Option {
-	return func(n *Network) {
-		n.shardOf = shardOf
-		k := int32(0)
-		for _, s := range shardOf {
-			if s > k {
-				k = s
-			}
-		}
-		n.shards = int(k) + 1
-	}
-}
+// ShardAssignment returns nil.
+//
+// Deprecated: there is no sharded engine to partition for. The
+// perfbench module is the last caller.
+func ShardAssignment(*graph.Graph, int) []int32 { return nil }
 
 // WithProcessWrapper rewraps every process through wrap before the run
 // starts: wrap receives the configured process slice and returns the
@@ -422,8 +358,6 @@ type Network struct {
 	ctxs       []nodeCtx
 	obs        Observer    // nil unless WithObserver installed one
 	faults     *faultState // nil unless WithFaults installed a plan
-	shards     int         // >1: Run dispatches to the sharded engine (engine_parallel.go)
-	shardOf    []int32     // explicit shard assignment (WithShardAssignment), else computed
 
 	// Deferred configuration, recorded by Options and acted on once at
 	// finalize. Options are pure setters on these fields so that an
@@ -478,8 +412,6 @@ func (n *Network) setDefaults() {
 	n.eventLimit = 50_000_000
 	n.congested = false
 	n.obs = nil
-	n.shards = 0
-	n.shardOf = nil
 	n.wrapFns = nil
 	n.pendingFaults = nil
 	n.pool = nil
@@ -727,8 +659,7 @@ func (n *Network) needNodeRNG() bool {
 
 // materializeRNGs builds the per-node RNG streams when the
 // configuration can draw randomness. Cold path: runs once per Run,
-// before any Init. The sharded engine performs the equivalent
-// materialization on its own per-node contexts.
+// before any Init.
 func (n *Network) materializeRNGs() {
 	if !n.needNodeRNG() {
 		return
@@ -741,10 +672,8 @@ func (n *Network) materializeRNGs() {
 // nodeCtx implements Context for one vertex. It also carries the
 // vertex's two pieces of engine-owned local state: the per-node push
 // sequence (the event tie-break) and the per-node RNG stream. Both
-// live here rather than on the Network so that the sharded engine can
-// hand each shard's worker exclusive ownership of its own nodes'
-// state, and so that a serial run allocates nothing extra (the ctxs
-// slice already exists).
+// live here rather than on the Network so that a run allocates nothing
+// extra for them (the ctxs slice already exists).
 type nodeCtx struct {
 	net *Network
 	id  graph.NodeID
@@ -964,16 +893,12 @@ func (n *Network) Run() (*Stats, error) {
 	return st, err
 }
 
-// run is the once-per-Reset execution: the serial event loop, or the
-// dispatch into the sharded engine.
+// run is the once-per-Reset execution: Init every process, then drive
+// the event loop to quiescence.
 //
 //costsense:hotpath
 func (n *Network) run() (*Stats, error) {
 	n.ran = true
-	if n.shards > 1 && n.g.N() > 1 {
-		//costsense:alloc-ok cold path: the sharded engine allocates per-shard state up front, never per event
-		return n.runSharded()
-	}
 	n.materializeRNGs()
 	for v := range n.procs {
 		if n.faults != nil && n.faults.crashAt[v] <= 0 {
@@ -1055,8 +980,7 @@ func (n *Network) run() (*Stats, error) {
 // materializeByClass builds the public per-class view from the dense
 // counters. Only classes that carried traffic appear; a run that sent
 // nothing keeps ByClass nil instead of allocating an empty map
-// (lookups and accessors read nil maps fine). Shared by the serial
-// post-loop epilogue and the sharded engine's merge.
+// (lookups and accessors read nil maps fine).
 func (n *Network) materializeByClass() {
 	if n.stats.Messages == 0 {
 		return

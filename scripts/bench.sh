@@ -37,19 +37,17 @@ if [ "${BENCH_CHECK:-0}" = "1" ]; then
 	trap 'rm -f "$OUT"' EXIT
 fi
 
-# The hot-path trio runs COUNT times; the million-node sharded pair
-# (BenchmarkEngineShardedSerial / BenchmarkEngineSharded, ~20M events
-# per op) always runs once — one op at that scale is a stable
-# measurement, and the pair exists to track the parallel speedup
-# ratio, not per-op noise. BENCH_SHARDED=0 skips the pair. The sweep
+# The hot-path trio runs COUNT times; the million-node flood
+# (BenchmarkEngineBigFlood, ~20M events per op) always runs once — one
+# op at that scale is a stable measurement. BENCH_BIG=0 skips it. The sweep
 # pair (BenchmarkEngineSweepFresh / BenchmarkEngineSweepPooled, one op
 # = a 100-trial sweep) tracks the experiment service's substrate-cache
 # + pooled-Reset win; BENCH_SWEEP=0 skips it.
 {
 	go test -run '^$' -bench '^BenchmarkEngine(Flood|Observed|Causal|Faulty)$' -benchmem \
 		-benchtime "${BENCH_TIME:-5x}" -count "$COUNT" .
-	if [ "${BENCH_SHARDED:-1}" = "1" ]; then
-		go test -run '^$' -bench '^BenchmarkEngineSharded(Serial)?$' -benchmem \
+	if [ "${BENCH_BIG:-1}" = "1" ]; then
+		go test -run '^$' -bench '^BenchmarkEngineBigFlood$' -benchmem \
 			-benchtime 1x -count 1 -timeout 30m .
 	fi
 	if [ "${BENCH_SWEEP:-1}" = "1" ]; then

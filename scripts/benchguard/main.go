@@ -31,14 +31,12 @@ type run struct {
 }
 
 type doc struct {
-	Current       run  `json:"current"`
-	Observed      *run `json:"observed"`
-	Causal        *run `json:"causal"`
-	Faulty        *run `json:"faulty"`
-	ShardedSerial *run `json:"sharded_serial"`
-	Sharded       *run `json:"sharded"`
-	SweepFresh    *run `json:"sweep_fresh"`
-	SweepPooled   *run `json:"sweep_pooled"`
+	Current     run  `json:"current"`
+	Observed    *run `json:"observed"`
+	Causal      *run `json:"causal"`
+	Faulty      *run `json:"faulty"`
+	SweepFresh  *run `json:"sweep_fresh"`
+	SweepPooled *run `json:"sweep_pooled"`
 }
 
 func main() {
@@ -105,12 +103,6 @@ func guard(args []string) error {
 	if freshFaulty, err := loadFaulty(args[1]); err == nil && freshFaulty != nil && fresh.NsPerOp > 0 {
 		fmt.Printf("faults on:   %.0f ns/op vs %.0f off (%+.1f%%, informational; smaller workload)\n",
 			freshFaulty.NsPerOp, fresh.NsPerOp, (freshFaulty.NsPerOp/fresh.NsPerOp-1)*100)
-	}
-	// The sharded pair is informational: the speedup is a property of
-	// the runner's core count, so it is recorded, never gated.
-	if d, err := loadDoc(args[1]); err == nil && d.Sharded != nil && d.ShardedSerial != nil && d.ShardedSerial.EventsPerSec > 0 {
-		fmt.Printf("sharded:     %.0f events/sec vs %.0f serial (%.2fx, informational; core-count dependent)\n",
-			d.Sharded.EventsPerSec, d.ShardedSerial.EventsPerSec, d.Sharded.EventsPerSec/d.ShardedSerial.EventsPerSec)
 	}
 	// The sweep pair tracks the experiment service's caching + pooled
 	// Reset win; wall clock, so informational only.

@@ -8,7 +8,7 @@
 #   2. go vet         — the stock toolchain analyzers
 #   3. costsense-vet  — the project suite (detmap, detsource,
 #                       hotpathalloc, hotpathtrans, arenaref,
-#                       shardsync, lockguard, ctxflow, errflow);
+#                       lockguard, ctxflow, errflow);
 #                       see DESIGN.md, "Static analysis & invariants"
 #   4. costsense-vet -audit — the directive inventory: stale,
 #                       unjustified or unknown //costsense: directives
